@@ -6,13 +6,20 @@
 // latest snapshot with zero locks and zero allocations.  A mutex here would
 // put the writer's (rare) publication on every reader's (hot) path; the
 // seqlock inverts that: readers pay two acquire loads and a small copy,
-// and only ever retry if the writer laps them mid-copy.
+// and retry only when the writer reaches their slot.
 //
-// Double-buffering makes that retry practically unreachable: the writer
-// alternates slots, so a reader that entered slot A races only a writer
-// that has *already published into slot B and come back around* - two full
-// publications inside one read's copy window.  (A classic single-slot
-// seqlock retries on every concurrent publication.)
+// The writer alternates slots and stamps each slot's seq with the version
+// it holds: 2v-1 while filling publication v, 2v once v is complete.  A
+// reader loads version_ = V, copies slot V&1, and keeps the copy only if
+// the slot read exactly 2V before and after it.  So it retries when the
+// writer is mid-write in that slot, and also when the slot already holds
+// a newer version V+2 that version_ does not show yet - returning V+2 there
+// would let the reader's next read() load version_ = V+1 and go backward.
+// With the stamp check, a read returns V only after loading version_ == V,
+// and one thread's loads of version_ never go backward (read-read
+// coherence), so each reader thread sees versions in non-decreasing order.
+// tests/seqlock_test.cc enumerates every interleaving of a small
+// step model of publish/read to check this on one core.
 //
 // The payload is stored as relaxed std::atomic words, not raw bytes: a
 // torn word is impossible at the hardware level, the acquire/release
@@ -22,7 +29,7 @@
 // stress runs under the TSan CI job).
 #pragma once
 
-// mtds:lock-free(single-writer seqlock: per-slot seq odd while mid-write, readers copy relaxed atomic words bracketed by acquire loads of seq and retry on change, version_ release-stores select the freshest complete slot)
+// mtds:lock-free(single-writer seqlock: per-slot seq stamped 2v-1 while publication v is mid-write and 2v once complete; readers copy relaxed atomic words bracketed by acquire loads of seq and retry unless seq reads 2V both times for the version_ V they loaded, i.e. also when the slot already holds a newer version than V; version_ release-stores select the freshest complete slot, so each reader thread sees versions in non-decreasing order)
 #include <atomic>
 #include <array>
 #include <cstddef>
@@ -55,13 +62,12 @@ class Seqlock {
     const std::uint64_t version =
         version_.load(std::memory_order_relaxed) + 1;
     Slot& slot = slots_[version & 1];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-    slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: mid-write
+    slot.seq.store(2 * version - 1, std::memory_order_relaxed);  // mid-write
     std::atomic_thread_fence(std::memory_order_release);
     for (std::size_t i = 0; i < kWords; ++i) {
       slot.words[i].store(words[i], std::memory_order_relaxed);
     }
-    slot.seq.store(seq + 2, std::memory_order_release);  // even: complete
+    slot.seq.store(2 * version, std::memory_order_release);  // complete
     version_.store(version, std::memory_order_release);
   }
 
@@ -75,7 +81,7 @@ class Seqlock {
       if (version == 0) return false;
       const Slot& slot = slots_[version & 1];
       const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
-      if ((seq1 & 1) != 0) continue;  // writer lapped into this slot
+      if (!slot_holds(seq1, version)) continue;  // mid-write or lapped
       for (std::size_t i = 0; i < kWords; ++i) {
         words[i] = slot.words[i].load(std::memory_order_relaxed);
       }
@@ -84,6 +90,14 @@ class Seqlock {
     }
     std::memcpy(static_cast<void*>(&out), words.data(), sizeof(T));
     return true;
+  }
+
+  // The reader's acceptance rule: a slot whose seq reads `seq` holds
+  // publication `version`, complete.  Shared with the interleaving model
+  // in tests/seqlock_test.cc so the model checks the rule read() uses.
+  static constexpr bool slot_holds(std::uint64_t seq,
+                                   std::uint64_t version) noexcept {
+    return seq == 2 * version;
   }
 
   // Number of publications so far (0 = nothing published yet).  Readers can
