@@ -2,10 +2,11 @@
 //
 // The sharded simulation engine routes cross-shard messages through one of
 // these per (sender shard, receiver shard) pair.  Access is phase-disciplined
-// on top of the usual SPSC contract: exactly one worker thread pushes during
-// a parallel window, and the coordinating thread drains everything at the
-// next epoch barrier (which it reaches only after a mutex-protected
-// rendezvous with every worker, so the ring is never popped concurrently
+// on top of the usual SPSC contract: exactly one thread - whichever runs the
+// sending shard - pushes during a parallel window, and the coordinating
+// thread drains everything at the next epoch barrier (which it reaches only
+// after every shard of the window has finished, through the engine's
+// release/acquire done count, so the ring is never popped concurrently
 // with a push).  The atomic indices make the ring independently correct -
 // and TSan-clean - even without that external barrier.
 //
@@ -17,8 +18,8 @@
 #pragma once
 
 // mtds:lock-free(SPSC ring; acquire/release on head_/tail_ order the slots)
-// One producer worker per parallel window, one consumer at the epoch
-// barrier; the engine's barrier mutex orders the overflow lane.
+// One producer thread per parallel window, one consumer at the epoch
+// barrier; the engine's claim/done hand-off orders the overflow lane.
 #include <atomic>
 #include <cstddef>
 #include <utility>

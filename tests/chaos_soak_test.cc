@@ -294,9 +294,36 @@ TEST(ChaosSoak, UdpSurvivorsStayCorrectAndHeal) {
   EXPECT_GT(suppressed, 0u);
   EXPECT_LT(probes, suppressed);
 
-  // Restart: a probe reply must heal the victim back to healthy.
+  // Restart: a probe reply must heal the victim back to healthy.  Wait on
+  // protocol progress instead of a fixed time.  Every learner holds the
+  // victim dead and probes it on backoff, at least once every
+  // backoff_max + jitter * backoff_max = 8 + 2 = 10 rounds
+  // (PeerHealth::should_poll).  A probe heals unless the learner's chaos
+  // drops the request or the reply (drop 0.1 each way; delay spikes of at
+  // most kSpike stay inside the reply window), so one misses with
+  // p = 1 - 0.9^2 = 0.19.  K = 10 probes all miss with 0.19^10 = 6.1e-8,
+  // so any of the four learners does with 2.5e-7 < 1e-6.  The wait counts
+  // rounds, kRoundsPerProbe per probe, rather than probes_sent: that
+  // counter also counts probes to learners the chaos drop briefly killed.
+  constexpr std::uint64_t kProbes = 10;
+  constexpr std::uint64_t kRoundsPerProbe = 10;
   victim.set_crashed(false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  std::vector<std::uint64_t> rounds_at_restart;
+  for (auto& l : learners) rounds_at_restart.push_back(l->counters().rounds);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    bool settled = true;
+    for (int i = 0; i < kLearners; ++i) {
+      const bool healed = learners[i]->peer_state(victim_id) ==
+                          service::PeerState::kHealthy;
+      const std::uint64_t rounds =
+          learners[i]->counters().rounds - rounds_at_restart[i];
+      settled = settled && (healed || rounds >= kProbes * kRoundsPerProbe);
+    }
+    if (settled || std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   for (int i = 0; i < kLearners; ++i) {
     EXPECT_EQ(learners[i]->peer_state(victim_id),
               service::PeerState::kHealthy)

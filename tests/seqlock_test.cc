@@ -67,11 +67,17 @@ TEST(Seqlock, ReadSeesLatestPublish) {
 
 // The stress: one writer republishing as fast as it can, several readers
 // validating every read.  Checksums catch torn payloads; monotone gen
-// catches a reader handed a stale slot after seeing a newer version.
+// catches a reader handed a stale slot after seeing a newer version.  A
+// start gate makes the readers overlap the storm: the writer publishes
+// generation 1, waits until every reader has validated a read of it, and
+// only then publishes the rest, while the readers keep reading until it
+// stops.
 TEST(Seqlock, TornReadStress) {
   util::Seqlock<Checked> cell;
   // mtds:lock-free(test handshake: writer sets stop after its last publish)
   std::atomic<bool> stop{false};
+  // mtds:lock-free(start gate: each reader counts itself in after its first validated read; the writer polls it before the storm)
+  std::atomic<int> ready{0};
   // mtds:lock-free(test statistic: reads observed per reader, summed after join)
   std::atomic<std::uint64_t> total_reads{0};
 
@@ -81,26 +87,30 @@ TEST(Seqlock, TornReadStress) {
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&cell, &stop, &total_reads] {
+    readers.emplace_back([&cell, &stop, &ready, &total_reads] {
       std::uint64_t last_gen = 0;
       std::uint64_t reads = 0;
       Checked out;
-      // On a single core the writer can finish its whole storm before this
-      // thread first runs; insist on one validated read so the assertions
-      // below always execute (the final publish guarantees read() succeeds).
       while (!stop.load(std::memory_order_acquire) || reads == 0) {
         if (!cell.read(out)) continue;
         ASSERT_TRUE(out.consistent())
             << "torn read: gen=" << out.gen << " sum=" << out.sum;
         ASSERT_GE(out.gen, last_gen) << "snapshot went backwards";
         last_gen = out.gen;
-        ++reads;
+        if (reads++ == 0) ready.fetch_add(1, std::memory_order_release);
       }
       total_reads.fetch_add(reads, std::memory_order_relaxed);
     });
   }
 
-  for (std::uint64_t gen = 1; gen <= kPublishes; ++gen) {
+  cell.publish(Checked::make(1));
+  // A reader that fails an assertion returns before counting itself in;
+  // stop waiting then, so the failure is reported instead of hanging.
+  while (ready.load(std::memory_order_acquire) < kReaders &&
+         !::testing::Test::HasFatalFailure()) {
+    std::this_thread::yield();
+  }
+  for (std::uint64_t gen = 2; gen <= kPublishes; ++gen) {
     cell.publish(Checked::make(gen));
   }
   stop.store(true, std::memory_order_release);
